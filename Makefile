@@ -83,7 +83,8 @@ bench:
 # (packages/sec through the full analyzer suite), so analysis-engine
 # regressions are tracked the same way engine regressions are; E20 tracks
 # the adaptive feedback loop (warm semi-join steady state, static
-# baseline, and pure ledger overhead) by shipped bytes per query.
+# baseline, and pure ledger overhead) in both currencies: ns/op as well
+# as shipped bytes per query (ship-B/op).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkE13PlanCache|BenchmarkE14Vectorized|BenchmarkE15Cancel|BenchmarkE16OpenLoop|BenchmarkE17FrontEnd|BenchmarkE18Cluster|BenchmarkE19Lint|BenchmarkE20Adaptive' \
 		-benchtime 10x -benchmem -json . \

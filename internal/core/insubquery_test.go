@@ -82,3 +82,65 @@ func TestInSubqueryRoundTripSQL(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestNotInSubqueryWithNullIsEmpty(t *testing.T) {
+	e := newFederation(t)
+	// Without a NULL the subquery leaves Cal (3) and Dee (4) outside it.
+	r, err := e.Query(`SELECT name FROM crm.customers
+		WHERE id NOT IN (SELECT cust_id FROM billing.invoices WHERE cust_id <> 3)
+		ORDER BY name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results(t, r); got != "Cal|Dee" {
+		t.Fatalf("got %q", got)
+	}
+	// Turning customer 3's key into a NULL makes every NOT IN answer
+	// NULL (x <> NULL is unknown), so nothing qualifies.
+	r, err = e.Query(`SELECT name FROM crm.customers
+		WHERE id NOT IN (SELECT CASE WHEN cust_id = 3 THEN NULL ELSE cust_id END
+		                 FROM billing.invoices)
+		ORDER BY name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results(t, r); got != "" {
+		t.Errorf("NOT IN over a list holding NULL must be empty, got %q", got)
+	}
+}
+
+func TestInListWithNullAndMatch(t *testing.T) {
+	e := newFederation(t)
+	r, err := e.Query(`SELECT name FROM crm.customers WHERE id IN (NULL, 2) ORDER BY name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results(t, r); got != "Bob" {
+		t.Errorf("IN (NULL, 2): got %q", got)
+	}
+	r, err = e.Query(`SELECT name FROM crm.customers WHERE id NOT IN (NULL, 2) ORDER BY name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results(t, r); got != "" {
+		t.Errorf("NOT IN (NULL, 2) must be empty, got %q", got)
+	}
+}
+
+func TestInListIntColumnFloatLiterals(t *testing.T) {
+	e := newFederation(t)
+	r, err := e.Query(`SELECT name FROM crm.customers WHERE id IN (1.0, 2.5, 3) ORDER BY name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results(t, r); got != "Ann|Cal" {
+		t.Errorf("IN (1.0, 2.5, 3): got %q", got)
+	}
+	r, err = e.Query(`SELECT name FROM crm.customers WHERE id NOT IN (1.0, 2.5) ORDER BY name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results(t, r); got != "Bob|Cal|Dee" {
+		t.Errorf("NOT IN (1.0, 2.5): got %q", got)
+	}
+}

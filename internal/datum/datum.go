@@ -11,7 +11,6 @@ package datum
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -330,56 +329,66 @@ func Equal(a, b Datum) bool {
 }
 
 // Hash returns a 64-bit hash consistent with Compare equality: datums that
-// compare equal (including cross INT/FLOAT) hash identically.
+// compare equal (including cross INT/FLOAT) hash identically. It is 64-bit
+// FNV-1a over a kind tag and the value's bytes, computed inline so the
+// per-row probes of hash joins, grouping and IN-lists pay no hasher setup.
 func (d Datum) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
+	h := uint64(fnvOffset64)
 	switch d.kind {
 	case KindNull:
-		buf[0] = 0
-		h.Write(buf[:1])
+		h = fnvByte(h, 0)
 	case KindBool:
-		buf[0] = 1
+		h = fnvByte(h, 1)
 		if d.b {
-			buf[1] = 1
+			h = fnvByte(h, 1)
+		} else {
+			h = fnvByte(h, 0)
 		}
-		h.Write(buf[:2])
 	case KindInt, KindFloat:
 		// Hash all numerics through their float64 image so 1 and 1.0
 		// land in the same hash bucket, matching Compare.
 		f, _ := d.AsFloat()
-		if f == math.Trunc(f) && !math.IsInf(f, 0) {
-			// Integral value: hash the integer image to keep exact
-			// int64 values (beyond float precision) distinct.
-			buf[0] = 2
-			putUint64(buf[1:], uint64(int64(f)))
-		} else {
-			buf[0] = 3
-			putUint64(buf[1:], math.Float64bits(f))
+		switch {
+		case f == math.Trunc(f) && !math.IsInf(f, 0):
+			// Integral value: hash the integer image.
+			h = fnvUint64(fnvByte(h, 2), uint64(int64(f)))
+		case math.IsNaN(f):
+			// Compare treats every NaN as equal, but NaN payload bits
+			// differ by origin (math.NaN() vs Inf-Inf), so hash one
+			// canonical image.
+			h = fnvUint64(fnvByte(h, 3), canonicalNaNBits)
+		default:
+			h = fnvUint64(fnvByte(h, 3), math.Float64bits(f))
 		}
-		h.Write(buf[:9])
 	case KindString:
-		buf[0] = 4
-		h.Write(buf[:1])
-		h.Write([]byte(d.s))
+		h = fnvByte(h, 4)
+		for i := 0; i < len(d.s); i++ {
+			h = fnvByte(h, d.s[i])
+		}
 	case KindTime:
-		buf[0] = 5
-		putUint64(buf[1:], uint64(d.t.UnixNano()))
-		h.Write(buf[:9])
+		h = fnvUint64(fnvByte(h, 5), uint64(d.t.UnixNano()))
 	}
-	return h.Sum64()
+	return h
 }
 
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+
+	// canonicalNaNBits is the float image Hash uses for every NaN (the
+	// bits of math.NaN()).
+	canonicalNaNBits = 0x7FF8000000000001
+)
+
+func fnvByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * fnvPrime64 }
+
+// fnvUint64 folds v into h little-endian, one byte at a time.
+func fnvUint64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(v))
+		v >>= 8
+	}
+	return h
 }
 
 // WireSize estimates the serialized size of the datum in bytes. The network

@@ -1,6 +1,8 @@
 package datum
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -162,6 +164,68 @@ func TestCompareNaN(t *testing.T) {
 	}
 	if Compare(NewFloat(1), nan) != -1 || Compare(nan, NewFloat(1)) != 1 {
 		t.Error("NaN must sort above all floats")
+	}
+}
+
+// TestHashIsFNV1a pins Hash to FNV-1a over (kind tag, value bytes): the
+// inline computation must agree with hash/fnv bit for bit, since bloom
+// filters and hash partitioning see these exact values.
+func TestHashIsFNV1a(t *testing.T) {
+	ref := func(tag byte, payload []byte) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte{tag})
+		h.Write(payload)
+		return h.Sum64()
+	}
+	le := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	ts := time.Date(2005, 6, 14, 10, 30, 0, 0, time.UTC)
+	cases := []struct {
+		d    Datum
+		want uint64
+	}{
+		{Null, ref(0, nil)},
+		{NewBool(false), ref(1, []byte{0})},
+		{NewBool(true), ref(1, []byte{1})},
+		{NewInt(-7), ref(2, le(^uint64(6)))},
+		{NewInt(1 << 40), ref(2, le(1<<40))},
+		{NewFloat(3), ref(2, le(3))},
+		{NewFloat(2.5), ref(3, le(math.Float64bits(2.5)))},
+		{NewFloat(math.Inf(-1)), ref(3, le(math.Float64bits(math.Inf(-1))))},
+		{NewFloat(math.NaN()), ref(3, le(math.Float64bits(math.NaN())))},
+		{NewString(""), ref(4, nil)},
+		{NewString("héllo"), ref(4, []byte("héllo"))},
+		{NewTime(ts), ref(5, le(uint64(ts.UnixNano())))},
+	}
+	for _, c := range cases {
+		if got := c.d.Hash(); got != c.want {
+			t.Errorf("Hash(%v) = %#x, want FNV-1a %#x", c.d, got, c.want)
+		}
+	}
+}
+
+// nanOperand is a package-level variable so Inf-Inf below is computed at
+// run time, by the hardware, rather than folded by the compiler.
+var nanOperand = math.Inf(1)
+
+func TestHashNaNCanonical(t *testing.T) {
+	// math.NaN() and a hardware-produced Inf-Inf carry different bits
+	// (0x7ff8…01 vs 0xfff8…00 on amd64) but Compare treats them as equal,
+	// so they must hash alike or hash joins, GROUP BY and DISTINCT split
+	// NaN groups.
+	a := NewFloat(math.NaN())
+	b := NewFloat(nanOperand - nanOperand)
+	if !math.IsNaN(b.Float()) {
+		t.Fatalf("Inf-Inf = %v, want NaN", b.Float())
+	}
+	if !Equal(a, b) {
+		t.Fatal("NaN datums must compare equal")
+	}
+	if a.Hash() != b.Hash() {
+		t.Errorf("equal NaNs hash differently: %#x (bits %#x) vs %#x (bits %#x)",
+			a.Hash(), math.Float64bits(a.Float()), b.Hash(), math.Float64bits(b.Float()))
+	}
+	if a.Hash() == NewFloat(math.Inf(1)).Hash() {
+		t.Error("NaN and +Inf must not share a hash image")
 	}
 }
 

@@ -625,35 +625,16 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (B
 	if err != nil {
 		return nil, false, err
 	}
-	seen := make(map[uint64][]datum.Datum)
-	maxKeys := opts.maxKeys()
-	var keys []sqlparse.Expr // exact IN-list, kept while it fits maxKeys
-	var hashes []uint64      // every distinct key's hash, for bloom mode
+	keys := newDatumSet(len(probeRows)) // distinct keys in probe order
 	for _, r := range probeRows {
 		v, err := keyFn(r)
 		if err != nil {
 			return nil, false, err
 		}
-		if v.IsNull() {
+		if v.IsNull() || !keys.add(v) {
 			continue
 		}
-		h := v.Hash()
-		dup := false
-		for _, prev := range seen[h] {
-			if datum.Compare(prev, v) == 0 {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], v)
-		hashes = append(hashes, h)
-		if len(keys) <= maxKeys {
-			keys = append(keys, &sqlparse.Literal{Value: v})
-		}
-		if len(hashes) > plan.DefaultBloomKeyCap {
+		if keys.size() > plan.DefaultBloomKeyCap {
 			// Too many distinct keys even for a bloom filter; run the
 			// regular join over the already-materialized probe side.
 			full, err := BuildBatch(ctx, reduceNode, rt, opts)
@@ -666,23 +647,29 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (B
 	}
 	var reduced plan.Node
 	switch {
-	case len(hashes) == 0:
+	case keys.size() == 0:
 		// No joinable keys on the probe side: nothing can match, so
 		// fetch nothing. (SQL IN () is invalid; use a FALSE filter.)
 		reduced = &plan.Filter{Input: remote.Child,
 			Cond: &sqlparse.Literal{Value: datum.NewBool(false)}}
-	case len(hashes) <= maxKeys:
+	case keys.size() <= opts.maxKeys():
+		lits := make([]sqlparse.Literal, keys.size())
+		list := make([]sqlparse.Expr, keys.size())
+		for i, e := range keys.entries {
+			lits[i].Value = e.v
+			list[i] = &lits[i]
+		}
 		reduced = &plan.Filter{Input: remote.Child,
-			Cond: &sqlparse.InExpr{Child: reduceRef, List: keys}}
+			Cond: &sqlparse.InExpr{Child: reduceRef, List: list}}
 	default:
 		// Past the exact-list cap, summarize the keys into a bloom
 		// filter instead of abandoning reduction: ~10 bits/key on the
 		// wire, no false negatives, and the handful of false-positive
 		// rows that come back are dropped by the join's own key
 		// equality check in assembleJoinKeys.
-		f := bloom.New(len(hashes), bloom.DefaultFPRate, bloom.DefaultSeed)
-		for _, h := range hashes {
-			f.Add(h)
+		f := bloom.New(keys.size(), bloom.DefaultFPRate, bloom.DefaultSeed)
+		for _, e := range keys.entries {
+			f.Add(e.h)
 		}
 		reduced = &plan.Filter{Input: remote.Child,
 			Cond: &sqlparse.KeyFilterExpr{Child: reduceRef, Set: f}}

@@ -100,13 +100,30 @@ func Compile(e sqlparse.Expr, cols []plan.ColMeta) (EvalFunc, error) {
 		if err != nil {
 			return nil, err
 		}
+		not := x.Not
+		if set, sawNull, ok := literalSet(x.List); ok {
+			// Constant list (bound params are literals by now): one hash
+			// probe per row instead of a scan of the list.
+			return func(r datum.Row) (datum.Datum, error) {
+				v, err := child(r)
+				if err != nil || v.IsNull() {
+					return datum.Null, err
+				}
+				if set.contains(v) {
+					return datum.NewBool(!not), nil
+				}
+				if sawNull {
+					return datum.Null, nil
+				}
+				return datum.NewBool(not), nil
+			}, nil
+		}
 		list := make([]EvalFunc, len(x.List))
 		for i, a := range x.List {
 			if list[i], err = Compile(a, cols); err != nil {
 				return nil, err
 			}
 		}
-		not := x.Not
 		return func(r datum.Row) (datum.Datum, error) {
 			v, err := child(r)
 			if err != nil {
@@ -709,6 +726,27 @@ func compileScalarFunc(x *sqlparse.FuncExpr, cols []plan.ColMeta) (EvalFunc, err
 	default:
 		return nil, fmt.Errorf("exec: unknown function %s", x.Name)
 	}
+}
+
+// literalSet builds the probe set of an IN-list whose members are all
+// literals, noting whether one of them is NULL (a miss is then NULL, not
+// FALSE). ok is false when any member must be evaluated per row.
+func literalSet(list []sqlparse.Expr) (set *datumSet, sawNull, ok bool) {
+	for _, e := range list {
+		if _, isLit := e.(*sqlparse.Literal); !isLit {
+			return nil, false, false
+		}
+	}
+	set = newDatumSet(len(list))
+	for _, e := range list {
+		v := e.(*sqlparse.Literal).Value
+		if v.IsNull() {
+			sawNull = true
+			continue
+		}
+		set.add(v)
+	}
+	return set, sawNull, true
 }
 
 // EvalPredicate runs a compiled predicate and reports whether the row
