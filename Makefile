@@ -79,13 +79,15 @@ bench:
 # unnoticed until someone runs the full suite), and it leaves
 # machine-readable BENCH_E13.json / BENCH_E14.json / BENCH_E15.json /
 # BENCH_E16.json / BENCH_E17.json / BENCH_E18.json / BENCH_E19.json /
-# BENCH_E20.json artifacts. E19 is the eiilint self-benchmark
-# (packages/sec through the full analyzer suite), so analysis-engine
-# regressions are tracked the same way engine regressions are; E20 tracks
+# BENCH_E20.json artifacts. E15 runs both cancel quiescence and the
+# traced-vs-untraced query, so every check exercises the trace path. E19
+# is the eiilint self-benchmark (packages/sec through the full analyzer
+# suite), so analysis-engine regressions are tracked the same way engine
+# regressions are; E20 tracks
 # the adaptive feedback loop (warm semi-join steady state, static
 # baseline, and pure ledger overhead) in both currencies: ns/op as well
 # as shipped bytes per query (ship-B/op).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkE13PlanCache|BenchmarkE14Vectorized|BenchmarkE15Cancel|BenchmarkE16OpenLoop|BenchmarkE17FrontEnd|BenchmarkE18Cluster|BenchmarkE19Lint|BenchmarkE20Adaptive' \
+	$(GO) test -run '^$$' -bench 'BenchmarkE13PlanCache|BenchmarkE14Vectorized|BenchmarkE15Cancel|BenchmarkE15TraceOverhead|BenchmarkE16OpenLoop|BenchmarkE17FrontEnd|BenchmarkE18Cluster|BenchmarkE19Lint|BenchmarkE20Adaptive' \
 		-benchtime 10x -benchmem -json . \
 		| $(GO) run ./cmd/benchjson E13=BENCH_E13.json E14=BENCH_E14.json E15=BENCH_E15.json E16=BENCH_E16.json E17=BENCH_E17.json E18=BENCH_E18.json E19=BENCH_E19.json E20=BENCH_E20.json

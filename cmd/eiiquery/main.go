@@ -4,7 +4,9 @@
 // prompt on stdin.
 //
 // Prefix a statement with "explain " to print the optimized plan, the SQL
-// pushed to each source, and the cost estimate instead of rows.
+// pushed to each source, and the cost estimate instead of rows; prefix it
+// with "analyze " to run it and print each operator's estimated vs actual
+// rows plus the network accounting against the prediction.
 //
 // Fault-tolerance flags inject failures and exercise the degradation path:
 //
@@ -34,6 +36,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -172,7 +175,7 @@ func parseParam(s string) datum.Datum {
 
 func runOne(engine *core.Engine, sql string, qo core.QueryOptions, params []datum.Datum) error {
 	if rest, ok := cutPrefixFold(sql, "analyze "); ok {
-		out, err := engine.ExplainAnalyze(rest, core.QueryOptions{})
+		out, err := engine.ExplainAnalyze(context.Background(), rest, qo)
 		if err != nil {
 			return err
 		}

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datum"
+	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -200,5 +203,51 @@ func TestSingleNodeClusterRoutesNothing(t *testing.T) {
 	}
 	if c.Node(0).FilterCapable("crm") {
 		t.Error("single node must not report peer filter capability")
+	}
+}
+
+// TestTraceAccountsPeerRoutedFetches pins that a traced query accounts
+// for fetches a peer mediator answered, not only the ones its own node
+// ran: every Remote in the executed plan has a fetch span whose row count
+// matches that operator's rows.
+func TestTraceAccountsPeerRoutedFetches(t *testing.T) {
+	c, _ := buildCRMCluster(t, 400, 2, splitSeed(t, 2))
+	res, err := c.Node(0).Engine().QueryOpts(`SELECT c.id, i.amount FROM crm.customers c
+		JOIN billing.invoices i ON c.id = i.cust_id`, core.QueryOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var execSpan *exec.Span
+	for _, sp := range res.Trace.Children {
+		if sp.Name == "exec" && len(sp.Children) == 1 {
+			execSpan = sp.Children[0]
+		}
+	}
+	if execSpan == nil {
+		t.Fatalf("no operator tree in trace:\n%s", res.Trace.Render())
+	}
+	remotes := 0
+	var walk func(plan.Node, *exec.Span)
+	walk = func(n plan.Node, sp *exec.Span) {
+		if r, ok := n.(*plan.Remote); ok {
+			remotes++
+			found := false
+			for _, f := range res.Trace.Fetches() {
+				if strings.EqualFold(f.Source, r.Source) && f.Rows == sp.Rows {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("%s (rows=%d) has no fetch span with its row count:\n%s",
+					sp.Name, sp.Rows, res.Trace.Render())
+			}
+		}
+		for i, k := range n.Children() {
+			walk(k, sp.Children[i])
+		}
+	}
+	walk(res.Plan, execSpan)
+	if remotes < 2 {
+		t.Fatalf("plan has %d Remote operators, want one per source:\n%s", remotes, plan.Explain(res.Plan))
 	}
 }

@@ -127,27 +127,28 @@ func (s *swapEstimator) swap(env opt.Env) {
 	s.mu.Unlock()
 }
 
-// absorbLedger feeds one execution attempt's cardinality ledger into the
-// feedback store: per-fetch observed rows keyed by (source, table,
-// predicate signature), and per-source latency calibration was already
-// recorded at fetch time. It returns how many operators misestimated by
-// estimateErrorFactor or more. Must only be called after the attempt's
-// goroutines have joined (the ledger contract).
-func (e *Engine) absorbLedger(led *exec.CardLedger, estimate func(plan.Node) int64) (estErrors int) {
-	if led == nil {
-		return 0
-	}
-	fb := e.feedbackStore()
-	for _, f := range led.Fetches() {
+// absorbLedger feeds one execution attempt's ledger into the feedback
+// store: each successful fetch attempt's observed rows, keyed by (source,
+// table, predicate signature), and its link time against what the link
+// model predicts for the same bytes; failed attempts feed nothing. It
+// returns how many operators misestimated by estimateErrorFactor or more.
+// Must only be called after the attempt's goroutines have joined (the
+// ledger contract).
+func (rt *queryRuntime) absorbLedger(estimate func(plan.Node) int64) (estErrors int) {
+	led := rt.opts.Cards
+	fb := rt.e.feedbackStore()
+	for _, f := range led.AttemptFetches() {
+		if f.Err != nil {
+			continue
+		}
+		if src, ok := rt.sources[strings.ToLower(f.Source)]; ok {
+			fb.ObserveLatency(f.Source, src.Link().TransferCost(f.Bytes), f.SimTime)
+		}
 		key, ok := feedback.Signature(f.Subtree)
 		if !ok {
 			continue
 		}
-		planned := float64(0)
-		if estimate != nil {
-			planned = float64(estimate(f.Subtree))
-		}
-		fb.Observe(key, f.Rows, planned)
+		fb.Observe(key, f.Rows, float64(estimate(f.Subtree)))
 	}
 	for _, op := range led.Ops() {
 		if op.Est < 0 {
@@ -165,12 +166,7 @@ func (e *Engine) absorbLedger(led *exec.CardLedger, estimate func(plan.Node) int
 // per operator — the `--explain` / `?explain=1` surface: estimate error
 // inspectable without full tracing.
 func renderExplain(p plan.Node, led *exec.CardLedger, replans int) string {
-	cards := make(map[plan.Node]*exec.OpCard)
-	if led != nil {
-		for _, c := range led.Ops() {
-			cards[c.Node] = c
-		}
-	}
+	cards := led.ByNode()
 	var b strings.Builder
 	if replans > 0 {
 		fmt.Fprintf(&b, "-- re-planned %dx mid-query (cardinality tripwire)\n", replans)

@@ -224,6 +224,48 @@ func TestAdaptiveFeedbackIgnoresFailedAttempts(t *testing.T) {
 	}
 }
 
+// TestReplanTraceKeepsAbortedAttemptFetches reconciles a re-planned
+// query's trace with its network accounting: the aborted attempt's fetch
+// still happened, so its span stays in the trace, and the fetch spans'
+// wire bytes sum to exactly the query's. Feedback absorbs each attempt
+// once — the aborted full fetch is observed once, not again when the
+// re-planned attempt completes.
+func TestReplanTraceKeepsAbortedAttemptFetches(t *testing.T) {
+	e := staleStatsFixture(t, 4000)
+	res, err := e.QueryOpts(staleStatsQuery, QueryOptions{Parallel: true, Adaptive: true, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReplanCount != 1 {
+		t.Fatalf("replans = %d, want 1", res.ReplanCount)
+	}
+	fetches := res.Trace.Fetches()
+	want := []struct {
+		source string
+		rows   int64
+	}{{"logs", 4000}, {"crm", 100}, {"logs", 80}}
+	if len(fetches) != len(want) {
+		t.Fatalf("trace has %d fetch spans, want %d:\n%s", len(fetches), len(want), res.Trace.Render())
+	}
+	var bytes int64
+	for i, f := range fetches {
+		if f.Source != want[i].source || f.Rows != want[i].rows {
+			t.Errorf("fetch %d = %s rows=%d, want %s rows=%d", i, f.Source, f.Rows, want[i].source, want[i].rows)
+		}
+		bytes += f.Bytes
+	}
+	if bytes != res.Network.WireBytes {
+		t.Errorf("fetch spans carry %d wire bytes, query shipped %d:\n%s", bytes, res.Network.WireBytes, res.Trace.Render())
+	}
+	est, ok := e.Feedback().Lookup(feedback.Key{Source: "logs", Table: "events"})
+	if !ok || est.Observations != 1 {
+		t.Errorf("aborted full fetch observed %d times, want 1", est.Observations)
+	}
+	if n := e.Feedback().Len(); n != len(want) {
+		t.Errorf("feedback holds %d keys, want one per successful fetch (%d)", n, len(want))
+	}
+}
+
 // TestExplainReportsEstimatedVsObserved covers the post-execution explain
 // surface: per-operator estimated and actual row counts.
 func TestExplainReportsEstimatedVsObserved(t *testing.T) {

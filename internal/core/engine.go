@@ -339,8 +339,9 @@ type Result struct {
 	// QueryID is the engine-unique ID the execution registered under (the
 	// /queries endpoint lists running queries by this ID).
 	QueryID uint64
-	// Trace is the query's span tree, recorded when QueryOptions.Trace is
-	// set: plan, per-operator exec and per-source-fetch spans.
+	// Trace is the query's span tree, rendered from its cardinality ledger
+	// when the query asked for a trace: plan, per-operator exec and
+	// per-source-fetch spans.
 	Trace *exec.Span
 	// Tenant is the admission bucket the query ran under (empty while
 	// admission control is disabled).
@@ -360,7 +361,8 @@ type Result struct {
 	ReplanCount int
 	// EstimateErrors counts operators of the final execution whose actual
 	// cardinality missed the estimate by 10x or more in either direction.
-	// Only populated when the cardinality ledger ran (Adaptive or Explain).
+	// Only populated for Adaptive or Explain queries, whose ledger carries
+	// estimates.
 	EstimateErrors int
 	// ExplainOutput is the executed plan annotated with estimated-vs-
 	// observed rows per operator, when QueryOptions.Explain was set.
@@ -561,20 +563,23 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 	}
 	stats := &rt.stats // rides the runtime's allocation
 	rt.opts.Stats = stats
-	if qo.Trace {
-		rt.tracer = exec.NewQueryTracer(clock)
-		rt.opts.Tracer = rt.tracer
-	}
-	// Cardinality ledger: always on for adaptive and explain queries —
-	// per-operator and per-fetch row counts, far lighter than tracing. The
-	// same ledger instance is Reset between re-plan attempts so the final
-	// attempt's counts stand alone.
+	// The ledger is the query's one execution-statistics record: adaptive
+	// feedback, EXPLAIN and the trace are all read from it. Adaptive and
+	// explain queries carry the optimizer's estimates into it and feed
+	// feedback from it; traced queries give it the engine clock so each
+	// operator pull and fetch attempt is placed in time. Reset between
+	// re-plan attempts keeps each attempt's operator counts apart.
 	var led *exec.CardLedger
 	var se *swapEstimator
-	if qo.Adaptive || qo.Explain {
+	if qo.Adaptive || qo.Explain || qo.Trace {
 		led = exec.GetCardLedger()
 		defer exec.PutCardLedger(led)
 		rt.opts.Cards = led
+	}
+	if qo.Trace {
+		led.SetClock(clock)
+	}
+	if qo.Adaptive || qo.Explain {
 		se = newSwapEstimator(e.planEnv(qo))
 		rt.opts.Estimate = se.rows
 	}
@@ -596,10 +601,6 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 			// the executor header-only views); block-copy so callers own —
 			// and may freely mutate — everything reachable from Result.Rows.
 			rows = datum.CloneRowsBlock(rows)
-			if led != nil {
-				scratch.WaitBorrowers()
-				estErrors = e.absorbLedger(led, se.rows)
-			}
 			break
 		}
 		var re *exec.ReplanError
@@ -616,7 +617,7 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 		// and start over. The extra network spend stays visible: link
 		// accounting spans all attempts.
 		scratch.WaitBorrowers()
-		e.absorbLedger(led, se.rows)
+		rt.absorbLedger(se.rows)
 		led.Reset()
 		if replans >= MaxReplans {
 			// Budget exhausted: a workload the estimator cannot model even
@@ -630,6 +631,15 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 		env := e.planEnv(qo)
 		p = opt.Reoptimize(p, env, optimizerOptions(qo))
 		se.swap(env)
+	}
+	if led != nil {
+		// Feedback and the renderers read operator records written
+		// lock-free by prefetch goroutines: join them first, on every exit
+		// path.
+		scratch.WaitBorrowers()
+		if se != nil && err == nil {
+			estErrors = rt.absorbLedger(se.rows)
+		}
 	}
 	after := e.linkTotals()
 	after.Sub(before)
@@ -661,8 +671,8 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 		res.Kinds[i] = c.Kind
 	}
 	rt.faults.fill(res)
-	if rt.tracer != nil {
-		res.Trace = rt.tracer.Finish(p, planTime)
+	if qo.Trace {
+		res.Trace = led.Spans(p, planTime)
 	}
 	if err != nil {
 		res.Rows = nil
@@ -695,44 +705,24 @@ func (e *Engine) Explain(sql string, qo QueryOptions) (string, error) {
 	return b.String(), nil
 }
 
-// ExplainAnalyze plans AND executes the statement, returning the plan
-// annotated with the observed per-operator row counts plus the network
-// accounting — the tool §8 asks for when it calls for "query
-// execution-time prediction" work: predicted vs actual, side by side.
-func (e *Engine) ExplainAnalyze(sql string, qo QueryOptions) (string, error) {
-	p, err := e.Plan(sql, qo)
+// ExplainAnalyze runs the statement on the engine's one execution path
+// with Explain set and returns the executed plan annotated with estimated
+// vs observed rows per operator, plus the query's network accounting
+// against the optimizer's prediction — the tool §8 asks for when it calls
+// for "query execution-time prediction" work: predicted vs actual, side
+// by side.
+func (e *Engine) ExplainAnalyze(ctx context.Context, sql string, qo QueryOptions) (string, error) {
+	qo.Explain = true
+	res, err := e.QueryOptsCtx(ctx, sql, qo)
 	if err != nil {
 		return "", err
 	}
-	trace := exec.NewTrace()
-	before := e.linkTotals()
-	execOpts := exec.Options{
-		Parallel:    qo.Parallel || qo.Parallelism > 1,
-		Parallelism: qo.Parallelism,
-		BatchSize:   qo.BatchSize,
-		SemiJoin:    !qo.NoSemiJoin && !qo.Optimizer.NoRemotePushdown,
-		Trace:       trace,
-	}
-	//lint:ignore ctxpropagate engine entry point: context-free diagnostics API
-	it, err := exec.Build(context.Background(), p, e.runtime(), execOpts)
-	if err != nil {
-		return "", err
-	}
-	rows, err := exec.Drain(it)
-	if err != nil {
-		return "", err
-	}
-	after := e.linkTotals()
 	var b strings.Builder
-	b.WriteString(trace.Render(p))
-	est := opt.Cost(p, e.env())
+	b.WriteString(res.ExplainOutput)
 	fmt.Fprintf(&b, "-- actual: rows=%d shipped=%dB trips=%d simTime=%s\n",
-		len(rows),
-		after.BytesShipped-before.BytesShipped,
-		after.RoundTrips-before.RoundTrips,
-		after.SimTime-before.SimTime)
+		len(res.Rows), res.Network.BytesShipped, res.Network.RoundTrips, res.Network.SimTime)
 	fmt.Fprintf(&b, "-- estimated: rows=%d shipped=%dB network=%s\n",
-		est.Rows, est.Shipped, est.Network)
+		res.Estimate.Rows, res.Estimate.Shipped, res.Estimate.Network)
 	return b.String(), nil
 }
 
@@ -810,27 +800,6 @@ func (e *Engine) rewriteExists(ctx context.Context, sel *sqlparse.Select, qo Que
 }
 
 // --- exec.Runtime and opt.Env plumbing ---
-
-type engineRuntime struct{ e *Engine }
-
-func (rt engineRuntime) ScanTable(ctx context.Context, source, table string) (exec.Iterator, error) {
-	// A bare scan outside a Remote ships the whole table.
-	return rt.RunRemote(ctx, source, &plan.Scan{Source: source, Table: table})
-}
-
-func (rt engineRuntime) RunRemote(ctx context.Context, source string, subtree plan.Node) (exec.Iterator, error) {
-	src, ok := rt.e.Source(source)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown source %q", source)
-	}
-	rows, err := federation.ExecuteWithContext(ctx, src, subtree)
-	if err != nil {
-		return nil, err
-	}
-	return exec.NewSliceIterator(rows), nil
-}
-
-func (e *Engine) runtime() exec.Runtime { return engineRuntime{e} }
 
 type engineEnv struct{ e *Engine }
 

@@ -23,8 +23,8 @@ import (
 )
 
 // queryFaults is one query's fault ledger. Remote fetches may run
-// concurrently (Prefetch), so it locks. The maps initialize lazily: the
-// overwhelmingly common fault-free query never allocates them.
+// concurrently (prefetch goroutines), so it locks. The maps initialize
+// lazily: the overwhelmingly common fault-free query never allocates them.
 type queryFaults struct {
 	mu       sync.Mutex
 	errors   map[string]int
@@ -104,8 +104,6 @@ type queryRuntime struct {
 	ctx    context.Context // the query's derived context (deadline + cancel)
 	faults queryFaults
 	opts   exec.Options // set after construction; used by ScanTable
-	// tracer, when non-nil, records one fetch span per remote attempt.
-	tracer *exec.QueryTracer
 	// sources is the immutable source map captured when the execution
 	// started; all remote fetches of this query resolve against it.
 	sources map[string]federation.Source
@@ -154,13 +152,22 @@ func (rt *queryRuntime) ScanTable(ctx context.Context, source, table string) (ex
 }
 
 func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree plan.Node) (exec.Iterator, error) {
+	// Every attempt, on either branch, lands in the query's ledger (when it
+	// has one): traces show each round trip, feedback takes the successful
+	// ones.
+	cards := rt.opts.Cards
 	if rt.router != nil {
+		start := cards.Elapsed()
 		rows, handled, err := rt.router.RouteRemote(ctx, source, subtree)
 		if handled {
 			// A peer mediator owned and answered (or failed) the fetch.
 			// Its own breakers and retries already ran at the owner; the
 			// coordinator only charges the scan budget and surfaces errors
-			// into the normal retry/degradation pipeline.
+			// into the normal retry/degradation pipeline. The wire
+			// accounting happened at the owner, so bytes and link time
+			// stay 0 here.
+			cards.RecordFetch(exec.FetchCard{Source: source, Subtree: subtree,
+				Rows: int64(len(rows)), Start: start, Duration: cards.Elapsed() - start, Err: err})
 			if err != nil {
 				return nil, fmt.Errorf("core: source %s (via peer): %w", source, err)
 			}
@@ -169,11 +176,6 @@ func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree pl
 				if qerr := rt.slot.ChargeScan(bytes); qerr != nil {
 					return nil, qerr
 				}
-			}
-			if cards := rt.opts.Cards; cards != nil {
-				// Peer-answered fetches still feed cardinality rows; the
-				// wire accounting happened at the owner, so bytes stay 0.
-				cards.RecordFetch(source, subtree, int64(len(rows)), 0)
 			}
 			return exec.NewSliceIterator(rows), nil
 		}
@@ -186,33 +188,18 @@ func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree pl
 	if br != nil && !br.Allow() {
 		return nil, &BreakerOpenError{Source: source}
 	}
-	var fetchStart time.Time
 	var linkBefore netsim.Metrics
-	cards := rt.opts.Cards
-	measured := rt.tracer != nil || cards != nil
-	if measured {
-		if rt.tracer != nil {
-			fetchStart = rt.tracer.Clock().Now()
-		}
+	if cards != nil {
 		linkBefore = src.Link().Metrics()
 	}
+	start := cards.Elapsed()
 	rows, err := federation.ExecuteWithContext(ctx, src, subtree)
-	if measured {
+	if cards != nil {
 		delta := src.Link().Metrics()
 		delta.Sub(linkBefore)
-		if rt.tracer != nil {
-			rt.tracer.RecordFetch(source, fetchStart, rt.tracer.Clock().Since(fetchStart),
-				delta.SimTime, int64(len(rows)), delta.WireBytes, err)
-		}
-		if cards != nil && err == nil {
-			// Only the successful attempt of a retried fetch lands in the
-			// ledger — failed attempts stay visible as numbered trace spans
-			// but must not pollute cardinality feedback. Latency calibrates
-			// against what the link model would have predicted for the same
-			// bytes.
-			cards.RecordFetch(source, subtree, int64(len(rows)), delta.WireBytes)
-			rt.e.feedbackStore().ObserveLatency(source, src.Link().TransferCost(delta.WireBytes), delta.SimTime)
-		}
+		cards.RecordFetch(exec.FetchCard{Source: source, Subtree: subtree,
+			Rows: int64(len(rows)), Bytes: delta.WireBytes, SimTime: delta.SimTime,
+			Start: start, Duration: cards.Elapsed() - start, Err: err})
 	}
 	if br != nil && !isContextErr(err) {
 		br.Record(err == nil)
@@ -313,11 +300,11 @@ func (e *Engine) replicaRows(ctx context.Context, source string, subtree plan.No
 		return nil, false
 	}
 	rt := &replicaRuntime{rp: rp, source: source, maxAge: maxAge}
-	it, err := exec.Build(ctx, subtree, rt, exec.Options{})
+	it, err := exec.BuildBatch(ctx, subtree, rt, exec.Options{})
 	if err != nil {
 		return nil, false
 	}
-	rows, err := exec.Drain(it)
+	rows, err := exec.DrainBatches(it)
 	if err != nil {
 		return nil, false
 	}

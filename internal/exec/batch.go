@@ -55,33 +55,6 @@ func (s *sliceBatchIter) NextBatch() (Batch, error) {
 
 func (s *sliceBatchIter) Close() {}
 
-// rowIterAdapter presents a batch tree as a row iterator — the engine
-// boundary: core.Engine and the source wrappers still consume rows.
-type rowIterAdapter struct {
-	in  BatchIterator
-	cur Batch
-	pos int
-}
-
-func (a *rowIterAdapter) Next() (datum.Row, error) {
-	for a.pos >= len(a.cur) {
-		b, err := a.in.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return nil, nil
-		}
-		//lint:ignore batchretain cur is fully consumed before the next NextBatch call refills it
-		a.cur, a.pos = b, 0
-	}
-	r := a.cur[a.pos]
-	a.pos++
-	return r, nil
-}
-
-func (a *rowIterAdapter) Close() { a.in.Close() }
-
 // batchIterAdapter pulls rows from a row iterator into a reused buffer —
 // used where the Runtime hands back a row cursor (table snapshots, remote
 // fetches).
@@ -117,9 +90,7 @@ func (a *batchIterAdapter) NextBatch() (Batch, error) {
 func (a *batchIterAdapter) Close() { a.in.Close() }
 
 // asBatchIterator adapts a row iterator to batches. Fresh slice iterators
-// (the common Runtime return) are served zero-copy; a rowIterAdapter is
-// unwrapped so remote subtrees built through Build don't pay double
-// adaptation.
+// (the common Runtime return) are served zero-copy.
 func asBatchIterator(it Iterator, size int) BatchIterator {
 	if size <= 0 {
 		size = DefaultBatchSize
@@ -129,10 +100,6 @@ func asBatchIterator(it Iterator, size int) BatchIterator {
 		if x.pos == 0 {
 			x.size = size
 			return x
-		}
-	case *rowIterAdapter:
-		if x.cur == nil && x.pos == 0 {
-			return x.in
 		}
 	}
 	return &batchIterAdapter{in: it, size: size}

@@ -45,13 +45,6 @@ type Options struct {
 	// Stats, when non-nil, accumulates batch and parallelism counters
 	// across all operators of the query.
 	Stats *ExecStats
-	// Trace, when non-nil, instruments every operator with row counters
-	// (EXPLAIN ANALYZE).
-	Trace *Trace
-	// Tracer, when non-nil, records the query-scoped span tree — one span
-	// per operator plus one per source-fetch attempt — that the engine
-	// surfaces as Result.Trace.
-	Tracer *QueryTracer
 	// SemiJoin enables semi-join reduction: for an equi-join whose
 	// build side is a Remote subtree at a filter-capable source, the
 	// probe side's distinct join keys are shipped to the source as an
@@ -100,10 +93,11 @@ type Options struct {
 	// backs is recycled when the query finishes. Nil allocates from the
 	// heap.
 	Scratch *Scratch
-	// Cards, when non-nil, is the always-on cardinality ledger: every
-	// operator boundary counts its output rows into it and every
-	// successful fetch is recorded by the engine's runtime. Unlike Tracer
-	// it costs two ints per operator, so it can run on every query.
+	// Cards, when non-nil, is the query's execution-statistics record:
+	// every operator boundary counts its output rows and batches into it
+	// (and times its pulls when the ledger has a clock), and the engine's
+	// runtime records every fetch attempt. EXPLAIN, traces and runtime
+	// feedback are all rendered from it.
 	Cards *CardLedger
 	// Estimate, when non-nil alongside Cards, supplies the optimizer's
 	// row estimate per plan node so ledger records carry
@@ -151,20 +145,6 @@ func (o Options) workers(hint int) int {
 	return max
 }
 
-// Build compiles a logical plan into an executable row iterator — the
-// engine-boundary entry point. Internally the plan runs vectorized; the
-// returned iterator adapts batches back to rows. The context threads into
-// every scan, remote dispatch and parallel operator; a cancellable context
-// additionally instruments each operator boundary with a per-batch
-// cancellation check.
-func Build(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Iterator, error) {
-	it, err := BuildBatch(ctx, n, rt, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &rowIterAdapter{in: it}, nil
-}
-
 // BuildBatch compiles a logical plan into an executable batch iterator.
 func BuildBatch(ctx context.Context, n plan.Node, rt Runtime, opts Options) (BatchIterator, error) {
 	it, err := buildNode(ctx, n, rt, opts)
@@ -187,17 +167,14 @@ func BuildBatch(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Bat
 				est = opts.Estimate(n)
 			}
 			g.card = opts.Cards.addOp(n, est)
+			if opts.Cards.clock != nil {
+				g.timed = opts.Cards
+			}
 			if opts.Replan.enabled() && est >= 0 && replanNode(n) {
 				g.replan = opts.Replan
 			}
 		}
 		it = g
-	}
-	if opts.Trace != nil {
-		it = opts.Trace.wrap(n, it)
-	}
-	if opts.Tracer != nil {
-		it = opts.Tracer.wrapOp(n, it)
 	}
 	return it, nil
 }
@@ -220,13 +197,15 @@ func replanNode(n plan.Node) bool {
 // asking the input for more work, so a cancelled query stops within one
 // batch at every level of the operator tree), optional in-flight memory
 // accounting (each pull releases the previous batch's charge and charges
-// the new one; Close releases the residual), and optional batch counting.
+// the new one; Close releases the residual), optional batch counting, and
+// the operator's ledger record.
 type guardBatchIter struct {
 	in      BatchIterator
 	ctx     context.Context   // nil: no cancellation check
 	mem     MemoryReservation // nil: no memory accounting
 	stats   *ExecStats        // nil: no batch counting
 	card    *OpCard           // nil: no cardinality ledger
+	timed   *CardLedger       // nil: pulls are not timed
 	replan  ReplanPolicy      // zero: tripwire disarmed
 	charged int64
 }
@@ -242,6 +221,9 @@ func (g *guardBatchIter) NextBatch() (Batch, error) {
 		g.charged = 0
 	}
 	b, err := g.in.NextBatch()
+	if g.timed != nil {
+		g.card.notePull(g.timed.Elapsed())
+	}
 	if err != nil {
 		return b, err
 	}

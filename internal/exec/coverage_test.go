@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -131,20 +132,20 @@ func TestRuntimeTypeErrors(t *testing.T) {
 }
 
 func TestPrefetchPropagatesErrors(t *testing.T) {
-	it := Prefetch(func() (Iterator, error) {
+	it := prefetchBatches(context.Background(), 2, func() (BatchIterator, error) {
 		return nil, errors.New("remote down")
 	})
-	if _, err := it.Next(); err == nil || !strings.Contains(err.Error(), "remote down") {
+	if _, err := it.NextBatch(); err == nil || !strings.Contains(err.Error(), "remote down") {
 		t.Errorf("prefetch error = %v", err)
 	}
 	it.Close()
 }
 
 func TestPrefetchDeliversRows(t *testing.T) {
-	it := Prefetch(func() (Iterator, error) {
-		return NewSliceIterator([]datum.Row{{datum.NewInt(1)}, {datum.NewInt(2)}}), nil
+	it := prefetchBatches(context.Background(), 2, func() (BatchIterator, error) {
+		return newSliceBatchIter([]datum.Row{{datum.NewInt(1)}, {datum.NewInt(2)}}, 2), nil
 	})
-	rows, err := Drain(it)
+	rows, err := DrainBatches(it)
 	if err != nil || len(rows) != 2 {
 		t.Errorf("prefetch rows = %d err = %v", len(rows), err)
 	}
@@ -159,22 +160,28 @@ func TestLimitOffsetOnly(t *testing.T) {
 	}
 }
 
-func TestTraceCountsRows(t *testing.T) {
-	tr := NewTrace()
-	node := &plan.Scan{Source: "", Table: "", Alias: "$dual"}
-	it := tr.wrap(node, newSliceBatchIter([]datum.Row{{}, {}, {}}, 2))
+func TestCardLedgerCountsRows(t *testing.T) {
+	led := GetCardLedger()
+	defer PutCardLedger(led)
+	node := remoteScan()
+	rt := &flakyRuntime{rows: []datum.Row{{}, {}, {}}}
+	it, err := BuildBatch(context.Background(), node, rt, Options{BatchSize: 2, Cards: led})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := DrainBatches(it); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Rows(node) != 3 {
-		t.Errorf("trace rows = %d", tr.Rows(node))
+	cards := led.ByNode()
+	if c := cards[node]; c.Rows != 3 || c.Batches != 2 {
+		t.Errorf("ledger rows = %d batches = %d, want 3 and 2", c.Rows, c.Batches)
 	}
-	if !strings.Contains(tr.Render(node), "(rows=3)") {
-		t.Errorf("render = %q", tr.Render(node))
+	if out := led.Spans(node, 0).Render(); !strings.Contains(out, "rows=3 batches=2") {
+		t.Errorf("render = %q", out)
 	}
 	other := &plan.Scan{Source: "x", Table: "y", Alias: "z"}
-	if tr.Rows(other) != 0 {
-		t.Error("unexecuted node must report 0")
+	if c, ok := cards[other]; ok && c.Rows != 0 {
+		t.Error("unexecuted node must be absent or report 0")
 	}
 }
 

@@ -27,8 +27,16 @@ func (rt *localRuntime) ScanTable(_ context.Context, source, table string) (Iter
 	return NewSliceIterator(t.Snapshot()), nil
 }
 
-func (rt *localRuntime) RunRemote(_ context.Context, source string, subtree plan.Node) (Iterator, error) {
-	return Build(context.Background(), subtree, rt, Options{})
+func (rt *localRuntime) RunRemote(ctx context.Context, source string, subtree plan.Node) (Iterator, error) {
+	it, err := BuildBatch(ctx, subtree, rt, Options{})
+	if err != nil {
+		return nil, err
+	}
+	rows, err := DrainBatches(it)
+	if err != nil {
+		return nil, err
+	}
+	return NewSliceIterator(rows), nil
 }
 
 // fixture builds a two-source catalog with data: crm.customers and
@@ -96,11 +104,11 @@ func run(t *testing.T, g *catalog.Global, rt Runtime, sql string) []datum.Row {
 	if err != nil {
 		t.Fatalf("plan %q: %v", sql, err)
 	}
-	it, err := Build(context.Background(), p, rt, Options{})
+	it, err := BuildBatch(context.Background(), p, rt, Options{})
 	if err != nil {
 		t.Fatalf("build %q: %v", sql, err)
 	}
-	rows, err := Drain(it)
+	rows, err := DrainBatches(it)
 	if err != nil {
 		t.Fatalf("run %q: %v", sql, err)
 	}
@@ -327,11 +335,11 @@ func TestArithmeticErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := Build(context.Background(), p, rt, Options{})
+	it, err := BuildBatch(context.Background(), p, rt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Drain(it); err == nil || !strings.Contains(err.Error(), "division by zero") {
+	if _, err := DrainBatches(it); err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Errorf("division by zero must surface: %v", err)
 	}
 }
@@ -365,19 +373,19 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 		}
 		return n
 	})
-	seq, err := Build(context.Background(), p, rt, Options{})
+	seq, err := BuildBatch(context.Background(), p, rt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRows, err := Drain(seq)
+	seqRows, err := DrainBatches(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Build(context.Background(), p, rt, Options{Parallel: true})
+	par, err := BuildBatch(context.Background(), p, rt, Options{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRows, err := Drain(par)
+	parRows, err := DrainBatches(par)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// Iterator is the Volcano-style row cursor kept at the engine boundary and
-// the Runtime interface (table snapshots, remote fetches). Inside the
-// executor everything flows as batches (see BatchIterator).
+// Iterator is the Volcano-style row cursor of the Runtime interface
+// (table snapshots, remote fetches). Inside the executor everything flows
+// as batches (see BatchIterator).
 // Next returns (nil, nil) when the stream is exhausted.
 type Iterator interface {
 	Next() (datum.Row, error)
@@ -59,25 +59,6 @@ func (s *sliceIter) NextBatch() (Batch, error) {
 }
 
 func (s *sliceIter) Close() {}
-
-// Drain materializes the remaining rows of an iterator and closes it.
-func Drain(it Iterator) ([]datum.Row, error) {
-	defer it.Close()
-	if a, ok := it.(*rowIterAdapter); ok && a.cur == nil && a.pos == 0 {
-		return drainBatches(a.in)
-	}
-	var out []datum.Row
-	for {
-		r, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			return out, nil
-		}
-		out = append(out, r)
-	}
-}
 
 // --- Filter ---
 
@@ -832,60 +813,16 @@ func (u *unionBatchIter) Close() {
 
 // --- Async prefetch (inter-source parallelism) ---
 
-// prefetchIter runs fetch in a goroutine and buffers the resulting rows,
-// giving inter-source parallelism for federated fan-out queries.
-type prefetchIter struct {
-	ch   chan prefetchResult
-	rows []datum.Row
-	pos  int
-	err  error
-	done bool
-}
-
 type prefetchResult struct {
 	rows []datum.Row
 	err  error
 }
 
-// Prefetch starts draining the iterator returned by fetch in a background
-// goroutine immediately and returns an iterator over the result. The
-// goroutine always runs to completion and parks its result in a buffered
-// channel, so an abandoned prefetch never leaks.
-func Prefetch(fetch func() (Iterator, error)) Iterator {
-	p := &prefetchIter{ch: make(chan prefetchResult, 1)}
-	go func() {
-		it, err := fetch()
-		if err != nil {
-			p.ch <- prefetchResult{err: err}
-			return
-		}
-		rows, err := Drain(it)
-		p.ch <- prefetchResult{rows: rows, err: err}
-	}()
-	return p
-}
-
-func (p *prefetchIter) Next() (datum.Row, error) {
-	if !p.done {
-		b := <-p.ch
-		p.rows, p.err = b.rows, b.err
-		p.done = true
-	}
-	if p.err != nil {
-		return nil, p.err
-	}
-	if p.pos >= len(p.rows) {
-		return nil, nil
-	}
-	r := p.rows[p.pos]
-	p.pos++
-	return r, nil
-}
-
-func (p *prefetchIter) Close() {}
-
-// prefetchBatchIter is the batch form of Prefetch: the fetch is kicked off
-// immediately, the rows are served batch-windowed once ready. A cancelled
+// prefetchBatchIter runs a fetch in a background goroutine and buffers
+// its rows, giving inter-source parallelism for federated fan-out queries:
+// the fetch is kicked off immediately, the rows are served batch-windowed
+// once ready. The goroutine always runs to completion and parks its result
+// in a buffered channel. A cancelled
 // query context unblocks the consumer immediately; the background fetch
 // observes the same context through FetchRemote/BuildBatch, finishes
 // early, and parks its result in the buffered channel — never a leak.

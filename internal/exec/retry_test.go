@@ -75,11 +75,11 @@ func TestFetchRemoteRetriesTransientFailures(t *testing.T) {
 		ChargeBackoff: func(source string, d time.Duration) { charged += d },
 		OnRetry:       func(source string) { retries++ },
 	}
-	it, err := Build(context.Background(), remoteScan(), rt, opts)
+	it, err := BuildBatch(context.Background(), remoteScan(), rt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Drain(it)
+	rows, err := DrainBatches(it)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("rows=%v err=%v", rows, err)
 	}
@@ -94,7 +94,7 @@ func TestFetchRemoteRetriesTransientFailures(t *testing.T) {
 func TestFetchRemoteDoesNotRetryPermanentErrors(t *testing.T) {
 	rt := &flakyRuntime{failN: 10, err: errors.New("capability violation")}
 	opts := Options{Retry: RetryPolicy{Attempts: 5}}
-	if _, err := Build(context.Background(), remoteScan(), rt, opts); err == nil {
+	if _, err := BuildBatch(context.Background(), remoteScan(), rt, opts); err == nil {
 		t.Fatal("want error")
 	}
 	if rt.calls != 1 {
@@ -112,11 +112,11 @@ func TestFetchRemoteFallbackAfterExhaustion(t *testing.T) {
 			return NewSliceIterator(nil), true
 		},
 	}
-	it, err := Build(context.Background(), remoteScan(), rt, opts)
+	it, err := BuildBatch(context.Background(), remoteScan(), rt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Drain(it)
+	rows, err := DrainBatches(it)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("rows=%v err=%v", rows, err)
 	}

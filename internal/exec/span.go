@@ -3,10 +3,8 @@ package exec
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/plan"
 )
 
@@ -98,123 +96,24 @@ func (s *Span) Fetches() []*Span {
 	return out
 }
 
-// QueryTracer collects the spans of one query while it executes and
-// materializes them into a Span tree at Finish. It is safe for concurrent
-// use: exchange workers and prefetch goroutines record through the same
-// tracer.
-type QueryTracer struct {
-	clock netsim.Clock
-	start time.Time
-
-	mu      sync.Mutex
-	ops     map[plan.Node]*opSpan
-	fetches []*Span
-}
-
-type opSpan struct {
-	started bool
-	start   time.Time
-	last    time.Time
-	rows    int64
-	batches int64
-}
-
-// NewQueryTracer starts a tracer on the given clock; nil means wall time.
-func NewQueryTracer(clock netsim.Clock) *QueryTracer {
-	if clock == nil {
-		clock = netsim.Wall
-	}
-	return &QueryTracer{clock: clock, start: clock.Now(), ops: make(map[plan.Node]*opSpan)}
-}
-
-// Clock returns the clock spans are measured on.
-func (t *QueryTracer) Clock() netsim.Clock { return t.clock }
-
-// Start returns the instant the tracer was created (query start).
-func (t *QueryTracer) Start() time.Time { return t.start }
-
-// RecordFetch appends one source-fetch attempt: wall extent on the engine
-// clock plus the virtual link time, wire bytes and rows the attempt
-// accounted for. Failed attempts record the error; the attempt number is
-// derived from the spans already recorded for the source.
-func (t *QueryTracer) RecordFetch(source string, start time.Time, d, simTime time.Duration, rows, bytes int64, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	attempt := 1
-	for _, f := range t.fetches {
-		if f.Source == source {
-			attempt++
-		}
-	}
-	sp := &Span{
-		Name: "fetch", Source: source, Attempt: attempt,
-		Start: start.Sub(t.start), Duration: d,
-		SimTime: simTime, Rows: rows, Bytes: bytes,
-	}
-	if err != nil {
-		sp.Error = err.Error()
-	}
-	t.fetches = append(t.fetches, sp)
-}
-
-// wrapOp instruments one operator boundary: the span opens on the first
-// NextBatch pull and extends through the last.
-func (t *QueryTracer) wrapOp(n plan.Node, it BatchIterator) BatchIterator {
-	return &spanBatchIter{t: t, n: n, in: it}
-}
-
-type spanBatchIter struct {
-	t  *QueryTracer
-	n  plan.Node
-	in BatchIterator
-}
-
-func (s *spanBatchIter) NextBatch() (Batch, error) {
-	b, err := s.in.NextBatch()
-	s.t.noteOp(s.n, int64(len(b)), b != nil && err == nil)
-	return b, err
-}
-
-func (s *spanBatchIter) Close() { s.in.Close() }
-
-func (t *QueryTracer) noteOp(n plan.Node, rows int64, isBatch bool) {
-	now := t.clock.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.ops[n]
-	if st == nil {
-		st = &opSpan{}
-		t.ops[n] = st
-	}
-	if !st.started {
-		st.started = true
-		st.start = now
-	}
-	st.last = now
-	if isBatch {
-		st.rows += rows
-		st.batches++
-	}
-}
-
-// Finish materializes the span tree for the executed plan: a root "query"
+// Spans renders the query's span tree from the ledger: a root "query"
 // span covering planning plus execution, a "plan" child, an "exec" child
-// holding the operator tree (shaped like the plan, labeled by Describe),
-// and one fetch child per source-fetch attempt. planTime shifts execution
-// spans right so offsets are relative to query start.
-func (t *QueryTracer) Finish(root plan.Node, planTime time.Duration) *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	execDur := t.clock.Since(t.start)
-
+// holding the operator tree (shaped like the executed plan, labeled by
+// Describe), and one "fetch" child per source-fetch attempt of every
+// execution attempt. planTime shifts execution offsets so they are
+// relative to query start. Offsets come from the ledger's clock, so a
+// ledger without one renders zero offsets and durations. Same contract as
+// Ops: call only after the query's goroutines have joined.
+func (l *CardLedger) Spans(root plan.Node, planTime time.Duration) *Span {
+	execDur := l.Elapsed()
+	cards := l.ByNode()
 	var opTree func(plan.Node) *Span
 	opTree = func(n plan.Node) *Span {
 		sp := &Span{Name: n.Describe(), Start: planTime}
-		if st, ok := t.ops[n]; ok && st.started {
-			sp.Start = planTime + st.start.Sub(t.start)
-			sp.Duration = st.last.Sub(st.start)
-			sp.Rows = st.rows
-			sp.Batches = st.batches
+		if c, ok := cards[n]; ok {
+			sp.Start += c.First
+			sp.Duration = c.Last - c.First
+			sp.Rows, sp.Batches = c.Rows, c.Batches
 		}
 		for _, k := range n.Children() {
 			sp.Children = append(sp.Children, opTree(k))
@@ -229,9 +128,16 @@ func (t *QueryTracer) Finish(root plan.Node, planTime time.Duration) *Span {
 		execSpan.Children = append(execSpan.Children, opTree(root))
 	}
 	query.Children = append(query.Children, execSpan)
-	for _, f := range t.fetches {
-		f.Start += planTime
-		query.Children = append(query.Children, f)
+	for _, f := range l.Fetches() {
+		sp := &Span{
+			Name: "fetch", Source: f.Source, Attempt: f.Attempt,
+			Start: planTime + f.Start, Duration: f.Duration,
+			SimTime: f.SimTime, Rows: f.Rows, Bytes: f.Bytes,
+		}
+		if f.Err != nil {
+			sp.Error = f.Err.Error()
+		}
+		query.Children = append(query.Children, sp)
 	}
 	return query
 }
